@@ -115,12 +115,12 @@ func main() {
 		rounds    = flag.Int("rounds", 3, "monitor: measurements per path (≥ 1)")
 		interval  = flag.Duration("interval", 100*time.Millisecond, "monitor: re-measurement gap per path")
 		jitter    = flag.Float64("jitter", 0.3, "monitor: gap randomization fraction in [0,1]")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "monitor: max concurrent measurements")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "monitor: max concurrent measurements (independent and -senders fleets; a sequenced -mesh fleet ignores it)")
 		export    = flag.String("export", "", "monitor: HTTP listen address for the time-series store (e.g. :9090); keeps serving after the fleet finishes, until interrupted")
 		meshName  = flag.String("mesh", "", "monitor: run the fleet over a shared backbone instead of independent paths: star, chain, tree, disjoint (fixed shape parameters; ignores -cap -util -model -sources)")
 		schedName = flag.String("schedule", "fixed", "monitor: re-measurement schedule: fixed (jittered -interval), adaptive (per-path gaps scaled by recent windowed ρ), budgeted (fixed under the -budget cap)")
 		budget    = flag.Float64("budget", 0, "monitor: aggregate probe bit-rate cap in Mb/s across the fleet (token bucket); wraps the chosen -schedule, required by -schedule budgeted")
-		stagger   = flag.Bool("stagger", false, "monitor: with -mesh, never co-measure paths that share a tight link (contention-aware admission)")
+		stagger   = flag.Bool("stagger", false, "monitor: with -mesh, never co-measure paths that share a tight link (contention-aware sequencing; still replays byte-for-byte)")
 		senders   = flag.String("senders", "", "monitor: comma-separated pathload-snd control addresses (host:port,…); each becomes one real-network path with reconnect-on-error (ignores -paths -cap -util -model -sources; excludes -mesh)")
 		scen      = flag.String("scenario", "", "monitor: measure one composed scenario (name[:key=value,…], e.g. lossy:load=0.7) instead of a fleet; rounds split across its epochs (honors -rounds -k -n -omega -chi -seed; excludes -mesh -senders)")
 		backoff   = flag.Duration("reconnect-backoff", 500*time.Millisecond, "monitor: with -senders, first re-dial delay after a transport failure (doubles up to 15s)")
@@ -265,8 +265,9 @@ Monitor-mode flag matrix (with -monitor):
                    -schedule, -budget, -export
   -mesh <shape>    shared-backbone fleet, sequenced on one virtual clock
                    (replays byte-for-byte); composes with -schedule, -budget,
-                   -export; add -stagger for contention-aware admission on the
-                   live SharedSim fallback (non-deterministic interleave)
+                   -export, and -stagger (paths sharing a tight link never
+                   co-measure); ignores -workers (the sequencer owns the
+                   interleave)
   -senders a,b,…   real-network fleet over pathload-snd daemons; composes with
                    -schedule, -budget, -export; excludes -mesh and -stagger
                    (real paths have no shared backbone, hence no conflict graph)
@@ -637,25 +638,15 @@ func buildFleet(o monitorOpts, store *tsstore.Store) (*pathload.Monitor, map[str
 		for _, p := range m.Paths() {
 			avail[p.Name] = p.AvailBw()
 		}
-		if o.stagger {
-			// Contention-aware admission: the mesh knows which paths
-			// share a tight link; never measure two of them at once.
-			// Admission policies block sessions, which a sequenced
-			// fleet's round barrier cannot tolerate, so -stagger selects
-			// the SharedSim fallback (live, not reproducible run-to-run).
-			cfg.Admission = schedule.NewStagger(m.TightOverlaps(), o.workers)
-			fmt.Printf("admission: staggering tight-link-sharing paths (workers %d; non-deterministic interleave)\n", o.workers)
-			mon, err := m.SharedMonitorFleet(cfg, 10*netsim.Millisecond)
-			if err != nil {
-				return nil, nil, err
-			}
-			fmt.Printf("mesh fleet: %d paths over a %s backbone (%d links, shared-link contention)\n",
-				o.paths, o.mesh, len(m.Links()))
-			return mon, avail, nil
-		}
 		mon, drv, err := m.MonitorFleet(cfg, 10*netsim.Millisecond)
 		if err != nil {
 			return nil, nil, err
+		}
+		if o.stagger {
+			// Contention-aware sequencing: the mesh knows which paths
+			// share a tight link; never measure two of them at once.
+			drv.Stagger(m.TightOverlaps())
+			fmt.Println("stagger: paths sharing a tight link never co-measure")
 		}
 		// Per-link utilization series, one point per fleet round, onto
 		// the same store the per-path samples land in (/mrtg?link=...).

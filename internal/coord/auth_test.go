@@ -115,13 +115,16 @@ func TestAuthHandshake(t *testing.T) {
 	}
 }
 
-// TestAuthRequiresV2: a coordinator holding a secret refuses v1-only
-// dialers with a version error — it cannot challenge them.
+// TestAuthRequiresV2: v2 is the protocol floor, so a v1-only dialer is
+// refused with a version error — by a coordinator holding a secret
+// (which could not challenge it) and by an open one alike.
 func TestAuthRequiresV2(t *testing.T) {
-	_, addr := startServer(t, ServerConfig{Secret: "sesame"})
-	conn, ft, payload := sendHello(t, addr, "old", 1, 1)
-	defer conn.Close()
-	expectError(t, ft, payload, errCodeVersion)
+	for _, secret := range []string{"sesame", ""} {
+		_, addr := startServer(t, ServerConfig{Secret: secret})
+		conn, ft, payload := sendHello(t, addr, "old", 1, 1)
+		expectError(t, ft, payload, errCodeVersion)
+		conn.Close()
+	}
 }
 
 // TestAgentStopsAfterRejection: an agent with the wrong secret gets

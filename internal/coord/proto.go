@@ -32,15 +32,15 @@ import (
 const protoMagic uint32 = 0x534c4350
 
 // Version is the newest control-plane protocol version this build
-// speaks; VersionMin the oldest. Version 1 defines hello/hello-ack
+// speaks; VersionMin the oldest. Version 1 defined hello/hello-ack
 // with wire-style range negotiation, heartbeat/assign leasing, and
 // contribution push/ack. Version 2 adds the authentication handshake
-// (challenge/auth) and the versioned error frame — a coordinator with
-// a shared secret configured refuses v1 dialers, everything else is
-// wire-compatible.
+// (challenge/auth) and the versioned error frame, and is the floor: a
+// v1-only dialer is refused with errCodeVersion whether or not a
+// secret is configured.
 const (
 	Version    uint16 = 2
-	VersionMin uint16 = 1
+	VersionMin uint16 = 2
 )
 
 // ErrVersionMismatch reports peers whose version ranges do not

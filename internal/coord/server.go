@@ -40,8 +40,7 @@ type ServerConfig struct {
 
 	// Secret, when non-empty, requires every agent to prove knowledge
 	// of the same shared secret through an HMAC challenge before it may
-	// register. Needs protocol v2; v1 dialers are refused with a
-	// versioned error frame.
+	// register.
 	Secret string
 
 	// RegisterRate and PushRate are per-remote-host token-bucket rates
@@ -371,14 +370,8 @@ func (s *Server) handleConn(c net.Conn) {
 		s.reject(c, errCodeRate, "register rate limit exceeded")
 		return
 	}
-	if s.cfg.Secret != "" {
-		if ver < 2 {
-			s.reject(c, errCodeVersion, "authentication requires protocol v2")
-			return
-		}
-		if !s.challenge(c, hello.Name) {
-			return
-		}
+	if s.cfg.Secret != "" && !s.challenge(c, hello.Name) {
+		return
 	}
 
 	s.mu.Lock()

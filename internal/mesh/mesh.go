@@ -311,7 +311,8 @@ func (m *Mesh) Overlaps() map[string][]string {
 // that is the tight link of at least one of the two paths — the pairs
 // whose co-probing lands contention exactly on a hop being estimated,
 // the bias the contention experiment measures at ≈ −3 Mb/s. Feed it to
-// schedule.NewStagger to keep those sessions from measuring at once.
+// the fleet driver's Stagger (simprobe.SequencedDriver.Stagger) to keep
+// those sessions from measuring at once.
 func (m *Mesh) TightOverlaps() map[string][]string {
 	return m.overlapGraph(func(a, b *Path) bool {
 		ta, tb := a.LinkNames[a.TightIdx], b.LinkNames[b.TightIdx]
@@ -372,10 +373,13 @@ func (m *Mesh) SequencedProbers(reverseDelay netsim.Time) (*simprobe.Sequencer, 
 // link-counter snapshots) on the returned driver before Start; the
 // caller starts and owns the returned monitor.
 //
+// To keep paths that share a tight link from co-measuring, install
+// drv.Stagger(m.TightOverlaps()) before Start: the staggered fleet stays
+// on the same virtual clock and replays just as byte-for-byte.
+//
 // The config must leave Admission nil (the driver owns the
 // interleave) and paths must not be factory-backed — pathload.Monitor
-// enforces both at Start. For a live, non-deterministic fleet (e.g.
-// wall-clock admission experiments) use SharedMonitorFleet.
+// enforces both at Start.
 func (m *Mesh) MonitorFleet(cfg pathload.MonitorConfig, reverseDelay netsim.Time) (*pathload.Monitor, *simprobe.SequencedDriver, error) {
 	seq, probers := m.SequencedProbers(reverseDelay)
 	drv := simprobe.NewSequencedDriver(seq)
@@ -391,27 +395,4 @@ func (m *Mesh) MonitorFleet(cfg pathload.MonitorConfig, reverseDelay netsim.Time
 		}
 	}
 	return mon, drv, nil
-}
-
-// SharedMonitorFleet is the non-deterministic fallback: one
-// SharedSim-backed prober per path, registered under the path's name.
-// The monitor's concurrent sessions serialize on the one simulator, so
-// overlapping paths contend while samples land in the configured
-// Results channel and SampleSink as usual, but the interleave follows
-// the host scheduler — fleet results are live and race-free, not
-// reproducible run-to-run. It is the only fleet mode compatible with
-// Admission policies (schedule.NewStagger), which would stall
-// MonitorFleet's round barrier.
-func (m *Mesh) SharedMonitorFleet(cfg pathload.MonitorConfig, reverseDelay netsim.Time) (*pathload.Monitor, error) {
-	mon, err := pathload.NewMonitor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	shared := simprobe.NewSharedSim(m.Sim)
-	for _, p := range m.paths {
-		if err := mon.AddPath(p.Name, shared.NewProber(p.Route, reverseDelay)); err != nil {
-			return nil, err
-		}
-	}
-	return mon, nil
 }

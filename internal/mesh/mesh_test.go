@@ -400,15 +400,15 @@ func (c *countingSink) Observe(s pathload.Sample) {
 	}
 }
 
-// TestMonitorFleetOverMesh: the SharedSim-backed fallback fleet feeds
-// a pathload.Monitor whose sessions contend on one simulator; every
-// path must deliver every round, to the channel and the sink alike.
+// TestMonitorFleetOverMesh: a staggered sequenced fleet feeds a
+// pathload.Monitor whose sessions share one simulator; every path must
+// deliver every round, to the channel and the sink alike, even though
+// the star's shared tight core lets only one path measure at a time.
 func TestMonitorFleetOverMesh(t *testing.T) {
 	m := Star(4, 5).MustBuild()
 	m.Warmup(2 * netsim.Second)
 	sink := &countingSink{}
-	mon, err := m.SharedMonitorFleet(pathload.MonitorConfig{
-		Workers:  4,
+	mon, drv, err := m.MonitorFleet(pathload.MonitorConfig{
 		Rounds:   2,
 		Interval: 20 * time.Millisecond,
 		Seed:     5,
@@ -418,6 +418,7 @@ func TestMonitorFleetOverMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drv.Stagger(m.TightOverlaps())
 	if got := mon.Paths(); len(got) != 4 || got[0] != "path-00" {
 		t.Fatalf("monitor paths %v", got)
 	}
@@ -445,11 +446,8 @@ func TestMonitorFleetOverMesh(t *testing.T) {
 			t.Errorf("%s: sink saw %d rounds, want 2", id, n)
 		}
 	}
-	// Both fleet constructors must reject a broken config rather than
+	// The fleet constructor must reject a broken config rather than
 	// half-wire it.
-	if _, err := m.SharedMonitorFleet(pathload.MonitorConfig{Jitter: 2}, 0); err == nil {
-		t.Error("invalid monitor config accepted")
-	}
 	if _, _, err := m.MonitorFleet(pathload.MonitorConfig{Jitter: 2}, 0); err == nil {
 		t.Error("invalid monitor config accepted by sequenced fleet")
 	}

@@ -23,7 +23,8 @@ import (
 // and AddPath the same probers; mesh.MonitorFleet does all of this.
 // The monitor calls Drive itself at Start. Install OnRoundBoundary
 // before Start to advance fleet scenarios (or snapshot link counters)
-// at round boundaries with exclusive simulator access.
+// at round boundaries with exclusive simulator access, and Stagger to
+// keep conflicting paths from ever measuring at the same time.
 //
 // The gap anchor is what makes the disjoint-fleet replay argument work:
 // a path's round r+1 starts at its *own* round-r end plus its scheduler
@@ -68,6 +69,43 @@ func (d *SequencedDriver) Register(path string, p *Prober) {
 
 // OnRoundBoundary delegates to the sequencer's round-boundary hook.
 func (d *SequencedDriver) OnRoundBoundary(fn func(round int)) { d.seq.OnRoundBoundary(fn) }
+
+// Stagger installs a conflict graph: conflicts[p] holds the registered
+// paths p must never co-measure with (the adjacency shape of
+// mesh.Mesh.TightOverlaps and schedule.NewStagger; it is symmetrized,
+// self-conflicts are ignored). Once a path's first stream of a round
+// is granted, no conflicting path starts a stream until the first has
+// finished its round (RoundEnd) or retired; Drive still grants the
+// lowest-numbered eligible path, so a staggered fleet replays
+// byte-for-byte. Like OnRoundBoundary it must be called before Start;
+// it panics after Drive started or on a path that was never
+// Registered.
+func (d *SequencedDriver) Stagger(conflicts map[string][]string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := d.seq
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.driving {
+		panic("simprobe: SequencedDriver.Stagger after Drive started")
+	}
+	slot := func(path string) *seqSlot {
+		p := d.probers[path]
+		if p == nil {
+			panic(fmt.Sprintf("simprobe: SequencedDriver.Stagger: path %q was never Registered", path))
+		}
+		return p.slot
+	}
+	for path, rivals := range conflicts {
+		a := slot(path)
+		for _, r := range rivals {
+			if b := slot(r); b != a {
+				a.rivals = append(a.rivals, b)
+				b.rivals = append(b.rivals, a)
+			}
+		}
+	}
+}
 
 // prober returns the registered prober for path, panicking on unknown
 // paths — an unregistered session would stall the whole fleet's barrier.

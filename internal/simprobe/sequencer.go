@@ -10,16 +10,14 @@ import (
 // A Sequencer co-schedules several probers over one simulator so their
 // probe streams genuinely overlap in virtual time, deterministically.
 //
-// SharedSim serializes siblings with a mutex held across each whole
-// stream, so two streams never coexist on the timeline and the
-// interleaving follows the host scheduler. The Sequencer instead splits
-// every prober operation into a setup (schedule my packet injections)
-// and an await (wake me when they have arrived, or at a deadline), parks
-// the prober goroutine between the two, and advances the event loop
-// itself. While one prober waits for its stream, its siblings get the
-// floor and schedule theirs at the same virtual time — the streams
-// queue against each other on shared links exactly like cross traffic,
-// which is what fleet self-interference experiments need to observe.
+// The Sequencer splits every prober operation into a setup (schedule my
+// packet injections) and an await (wake me when they have arrived, or
+// at a deadline), parks the prober goroutine between the two, and
+// advances the event loop itself. While one prober waits for its
+// stream, its siblings get the floor and schedule theirs at the same
+// virtual time — the streams queue against each other on shared links
+// exactly like cross traffic, which is what fleet self-interference
+// experiments need to observe.
 //
 // Determinism comes from two rules. First, exactly one goroutine — a
 // prober holding the floor, or the driver — touches the simulator at a
@@ -29,6 +27,13 @@ import (
 // operations is a pure function of the probers' own measurement logic,
 // never of host scheduling. Two runs with identical inputs produce
 // identical results, packet IDs included.
+//
+// Conflicting probers (SequencedDriver.Stagger) never co-measure: a
+// prober takes a claim when its first stream of a round is granted and
+// keeps it until it parks at EndRound or retires, and Drive holds back
+// the stream sections of every prober whose rival holds a claim. Both
+// rules above still apply, so a staggered fleet replays just as
+// byte-for-byte; without conflicts no section is ever held back.
 //
 // Lifecycle: NewSequencer, NewProber for every path, start one
 // goroutine per prober (each prober stays single-goroutine), then
@@ -77,9 +82,40 @@ type seqSlot struct {
 	seq      *Sequencer
 	id       int
 	state    seqState
+	stream   bool        // the parked section is a SendStream
 	cond     func() bool // nil for pure time waits
 	deadline netsim.Time
 	grant    chan struct{}
+
+	// rivals are the slots this one must never co-measure with; claim
+	// is set from its first granted stream of a round until it parks at
+	// EndRound or retires, and rivalClaims counts the rivals holding
+	// one, so Drive's per-event scan checks eligibility in O(1).
+	rivals      []*seqSlot
+	claim       bool
+	rivalClaims int
+}
+
+// heldBack reports whether a parked stream section must wait: a rival
+// is mid-measurement and this slot has not claimed the round yet.
+func (sl *seqSlot) heldBack() bool {
+	return sl.stream && !sl.claim && sl.rivalClaims > 0
+}
+
+// setClaim takes (on) or releases the slot's claim on its round.
+// Callers hold the sequencer mutex.
+func (sl *seqSlot) setClaim(on bool) {
+	if sl.claim == on {
+		return
+	}
+	sl.claim = on
+	d := 1
+	if !on {
+		d = -1
+	}
+	for _, r := range sl.rivals {
+		r.rivalClaims += d
+	}
 }
 
 // NewSequencer wraps sim for deterministic multi-prober co-scheduling.
@@ -120,6 +156,7 @@ func (p *Prober) Retire() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p.slot.state = seqRetired
+	p.slot.setClaim(false)
 	s.changed.Broadcast()
 }
 
@@ -156,6 +193,7 @@ func (p *Prober) EndRound() {
 		panic("simprobe: sequenced prober used after Retire")
 	}
 	sl.state = seqParkedRound
+	sl.setClaim(false)
 	s.changed.Broadcast()
 	s.mu.Unlock()
 	<-sl.grant // every live sibling reached the barrier
@@ -168,7 +206,7 @@ func (p *Prober) EndRound() {
 // path's timeline independent of when its siblings cleared the round
 // barrier.
 func (p *Prober) IdleUntil(t netsim.Time) {
-	p.section(func(sim *netsim.Simulator) (func() bool, netsim.Time) {
+	p.section(false, func(sim *netsim.Simulator) (func() bool, netsim.Time) {
 		if now := sim.Now(); t < now {
 			return nil, now
 		}
@@ -183,12 +221,13 @@ func (s *Sequencer) nextPktID() uint64 {
 }
 
 // section is the sequenced engine: park, run setup when granted the
-// floor, park again, run collect when the await is granted. Between the
+// floor, park again, run collect when the await is granted. stream
+// marks a SendStream section, which conflict claims gate. Between the
 // final grant and the next park this goroutine keeps the floor, so
 // collect and any caller code up to the next section may read
 // simulation results safely — the driver never advances the clock while
 // a prober is unparked.
-func (sl *seqSlot) section(setup func(sim *netsim.Simulator) (cond func() bool, deadline netsim.Time), collect func()) {
+func (sl *seqSlot) section(stream bool, setup func(sim *netsim.Simulator) (cond func() bool, deadline netsim.Time), collect func()) {
 	s := sl.seq
 
 	s.mu.Lock()
@@ -197,6 +236,7 @@ func (sl *seqSlot) section(setup func(sim *netsim.Simulator) (cond func() bool, 
 		panic("simprobe: sequenced prober used after Retire")
 	}
 	sl.state = seqParkedSection
+	sl.stream = stream
 	s.changed.Broadcast()
 	s.mu.Unlock()
 	<-sl.grant // floor acquired: schedule
@@ -238,8 +278,12 @@ func (s *Sequencer) Drive() {
 		// Rule two: deterministic choice. Pending setups first (they
 		// only schedule future injections, never fire events, so
 		// serving them before ready awaits is safe), then the first
-		// satisfied await; both by lowest slot number.
+		// satisfied await; both by lowest slot number. A granted
+		// stream claims its slot's round against conflicting rivals.
 		if sl := s.lowestParkedSection(); sl != nil {
+			if sl.stream {
+				sl.setClaim(true)
+			}
 			s.grantLocked(sl)
 			continue
 		}
@@ -258,20 +302,40 @@ func (s *Sequencer) Drive() {
 		// Everyone is waiting and nobody is ready: advance the
 		// simulator toward the nearest deadline, one event at a time so
 		// conditions are rechecked at every state change.
-		dl, ok := s.minDeadline()
-		if !ok {
+		sl, sole := s.earliestAwait()
+		if sl == nil {
 			// Unreachable: non-retired slots here sit in seqParkedAwait
-			// (every await carries a deadline) or seqParkedRound (an
+			// (every await carries a deadline), seqParkedRound (an
 			// all-round fleet was released above, and a mixed fleet has
-			// some await to advance toward).
+			// some await to advance toward), or a held-back section
+			// (whose claiming rival is never held back itself, so it
+			// sits in an await).
 			s.mu.Unlock()
 			panic("simprobe: sequencer stalled with no deadlines")
 		}
 		s.mu.Unlock()
-		if !s.sim.Step(dl) {
-			s.sim.Run(dl) // no events before dl: just pass the time
+		if sole {
+			// Nothing else can move before this await is ready: every
+			// other live slot is parked at the barrier or held back, and
+			// parked slots never change state. Step it to readiness
+			// without rescanning the fleet after every event — the same
+			// events in the same order, just cheaper (one path measuring
+			// alone is the common case of a staggered fleet).
+			for s.sim.Now() < sl.deadline && (sl.cond == nil || !sl.cond()) {
+				s.advance(sl.deadline)
+			}
+		} else {
+			s.advance(sl.deadline)
 		}
 		s.mu.Lock()
+	}
+}
+
+// advance fires the next event due by dl, or passes the time to dl when
+// there is none.
+func (s *Sequencer) advance(dl netsim.Time) {
+	if !s.sim.Step(dl) {
+		s.sim.Run(dl)
 	}
 }
 
@@ -357,10 +421,10 @@ func (s *Sequencer) allRetired() bool {
 }
 
 // lowestParkedSection returns the lowest-numbered slot waiting to run a
-// setup, or nil.
+// setup that no rival's claim holds back, or nil.
 func (s *Sequencer) lowestParkedSection() *seqSlot {
 	for _, sl := range s.slots {
-		if sl.state == seqParkedSection {
+		if sl.state == seqParkedSection && !sl.heldBack() {
 			return sl
 		}
 	}
@@ -384,19 +448,21 @@ func (s *Sequencer) firstReadyAwait() *seqSlot {
 	return nil
 }
 
-// minDeadline returns the earliest deadline among waiting slots.
-func (s *Sequencer) minDeadline() (netsim.Time, bool) {
-	var dl netsim.Time
-	found := false
+// earliestAwait returns the waiting slot with the earliest deadline
+// (the lowest-numbered on ties), or nil, and whether it is the only
+// waiting slot.
+func (s *Sequencer) earliestAwait() (first *seqSlot, sole bool) {
+	n := 0
 	for _, sl := range s.slots {
 		if sl.state != seqParkedAwait {
 			continue
 		}
-		if !found || sl.deadline < dl {
-			dl, found = sl.deadline, true
+		n++
+		if first == nil || sl.deadline < first.deadline {
+			first = sl
 		}
 	}
-	return dl, found
+	return first, n == 1
 }
 
 // Probers returns the number of probers created on the sequencer.

@@ -30,8 +30,8 @@ func driveWithWatchdog(t *testing.T, seq *Sequencer) {
 
 // TestSequencerOverlapsStreams is the point of the sequencer: two
 // probers' streams must coexist on the shared link in virtual time —
-// packets of both in flight together — which the mutex-serialized
-// SharedSim can never produce.
+// packets of both in flight together — which serializing whole streams
+// behind a lock could never produce.
 func TestSequencerOverlapsStreams(t *testing.T) {
 	sim := netsim.NewSimulator()
 	core := netsim.NewLink(sim, "core", 10_000_000, 5*netsim.Millisecond, 0)
@@ -270,4 +270,116 @@ func TestSequencerMisuse(t *testing.T) {
 	if s := seq.String(); !strings.Contains(s, "1 probers") {
 		t.Errorf("String() = %q", s)
 	}
+}
+
+// staggerSwitches runs two conflicting probers on one link and returns
+// how often the link's service order switches between their packet
+// sizes. Prober a sends two streams with an idle gap between them, then
+// leaves through rivalExit, which must retire it; prober b sends one
+// stream and retires. b
+// parks its stream while a is still mid-measurement, so only the
+// stagger claim keeps the two apart.
+func staggerSwitches(t *testing.T, stagger bool, rivalExit func(*Prober)) int {
+	t.Helper()
+	sim := netsim.NewSimulator()
+	core := netsim.NewLink(sim, "core", 10_000_000, 2*netsim.Millisecond, 0)
+	var sizes []int
+	core.OnTransmit(func(pkt *netsim.Packet, _ netsim.Time) { sizes = append(sizes, pkt.Size) })
+
+	seq := NewSequencer(sim)
+	pa := seq.NewProber([]*netsim.Link{core}, 10*netsim.Millisecond)
+	pb := seq.NewProber([]*netsim.Link{core}, 10*netsim.Millisecond)
+	drv := NewSequencedDriver(seq)
+	drv.Register("a", pa)
+	drv.Register("b", pb)
+	if stagger {
+		drv.Stagger(map[string][]string{"b": {"a"}}) // one direction: symmetrized
+	}
+
+	stream := func(p *Prober, l, idx int) {
+		if _, err := p.SendStream(pathload.StreamSpec{Rate: 3e6, K: 20, L: l, T: time.Millisecond, Index: idx}); err != nil {
+			t.Error(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		stream(pa, 400, 0)
+		_ = pa.Idle(5 * time.Millisecond) // the claim spans the gap
+		stream(pa, 400, 1)
+		rivalExit(pa)
+	}()
+	go func() {
+		defer wg.Done()
+		defer pb.Retire()
+		stream(pb, 600, 0)
+	}()
+	driveWithWatchdog(t, seq)
+	wg.Wait()
+
+	if len(sizes) != 60 {
+		t.Fatalf("core served %d packets, want 60", len(sizes))
+	}
+	switches := 0
+	for i := 1; i < len(sizes); i++ {
+		if sizes[i] != sizes[i-1] {
+			switches++
+		}
+	}
+	return switches
+}
+
+// TestSequencerStaggerHoldsRivalBack: a held-back stream proceeds once
+// its claiming rival parks at EndRound, and once its rival retires —
+// either way the two never share the link, and the fleet finishes.
+// Without the conflict the same fleet interleaves.
+func TestSequencerStaggerHoldsRivalBack(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		exit func(*Prober)
+	}{
+		{"after EndRound", func(p *Prober) { p.EndRound(); p.Retire() }},
+		{"after Retire", func(p *Prober) { p.Retire() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := staggerSwitches(t, true, c.exit); got != 1 {
+				t.Fatalf("staggered streams switched %d times on the shared link, want 1 (a's streams, then b's)", got)
+			}
+			if got := staggerSwitches(t, false, c.exit); got < 2 {
+				t.Fatalf("unstaggered streams switched %d times, want interleaving", got)
+			}
+		})
+	}
+}
+
+// TestSequencedDriverStaggerMisuse: like OnRoundBoundary, Stagger is
+// set-up-time only, and it refuses paths the driver does not know.
+func TestSequencedDriverStaggerMisuse(t *testing.T) {
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "l", 1_000_000, 0, 0)
+	seq := NewSequencer(sim)
+	p := seq.NewProber([]*netsim.Link{link}, 0)
+	drv := NewSequencedDriver(seq)
+	drv.Register("a", p)
+
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("Stagger on an unregistered path", func() { drv.Stagger(map[string][]string{"nope": nil}) })
+	mustPanic("Stagger with an unregistered rival", func() { drv.Stagger(map[string][]string{"a": {"nope"}}) })
+	drv.Stagger(map[string][]string{"a": {"a"}}) // self-conflict: ignored
+	if len(p.slot.rivals) != 0 {
+		t.Errorf("self-conflict recorded: %d rivals", len(p.slot.rivals))
+	}
+
+	p.Retire()
+	drv.Drive() // all retired: returns immediately
+	mustPanic("Stagger after Drive", func() { drv.Stagger(map[string][]string{"a": nil}) })
 }

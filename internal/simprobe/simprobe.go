@@ -9,11 +9,11 @@
 // scheduler jitter — the practical obstacle to microsecond-scale
 // probing from a garbage-collected runtime.
 //
-// A prober can own its simulator outright (New), share it with sibling
-// probers behind a mutex (SharedSim), or share it under a deterministic
-// co-scheduler whose probe streams genuinely overlap in virtual time
-// (Sequencer). All three run the same measurement code; only the
-// section engine — who may touch the simulator when — differs.
+// A prober either owns its simulator outright (New) or shares it with
+// sibling probers under a deterministic co-scheduler whose probe
+// streams genuinely overlap in virtual time (Sequencer). Both run the
+// same measurement code; only the section engine — who may touch the
+// simulator when — differs.
 package simprobe
 
 import (
@@ -41,9 +41,6 @@ type Prober struct {
 	// waits for stragglers before declaring the rest lost.
 	LossTimeout netsim.Time
 
-	// shared is set when the prober belongs to a SharedSim and must
-	// serialize against sibling probers; nil for a privately owned sim.
-	shared *SharedSim
 	// slot is set when the prober belongs to a Sequencer and its
 	// sections are co-scheduled deterministically with its siblings'.
 	slot *seqSlot
@@ -55,20 +52,16 @@ type Prober struct {
 // simulation until the condition setup returns holds (or, for a nil
 // condition, until the returned deadline), then runs collect, still
 // exclusively. It is the one place ownership matters: a private
-// simulator is driven directly, a SharedSim holds its mutex across the
-// whole section, and a Sequencer parks the goroutine and lets its
-// driver interleave sibling sections on the shared virtual timeline.
-func (p *Prober) section(setup func(sim *netsim.Simulator) (cond func() bool, deadline netsim.Time), collect func()) {
-	switch {
-	case p.slot != nil:
-		p.slot.section(setup, collect)
-	case p.shared != nil:
-		p.shared.mu.Lock()
-		defer p.shared.mu.Unlock()
-		directSection(p.sim, setup, collect)
-	default:
-		directSection(p.sim, setup, collect)
+// simulator is driven directly, and a Sequencer parks the goroutine and
+// lets its driver interleave sibling sections on the shared virtual
+// timeline. stream marks a SendStream section, which a staggered
+// Sequencer may hold back behind a conflicting sibling's measurement.
+func (p *Prober) section(stream bool, setup func(sim *netsim.Simulator) (cond func() bool, deadline netsim.Time), collect func()) {
+	if p.slot != nil {
+		p.slot.section(stream, setup, collect)
+		return
 	}
+	directSection(p.sim, setup, collect)
 }
 
 // directSection drives a section on a simulator the caller exclusively
@@ -85,20 +78,16 @@ func directSection(sim *netsim.Simulator, setup func(sim *netsim.Simulator) (con
 	}
 }
 
-// pktID allocates the next probe packet ID, from a shared counter when
-// several probers inject into one simulator. It must only be called
-// inside a section's setup, where simulator access is exclusive.
+// pktID allocates the next probe packet ID, from the sequencer's shared
+// counter when several probers inject into one simulator. It must only
+// be called inside a section's setup, where simulator access is
+// exclusive.
 func (p *Prober) pktID() uint64 {
-	switch {
-	case p.slot != nil:
+	if p.slot != nil {
 		return p.slot.seq.nextPktID()
-	case p.shared != nil:
-		p.shared.nextID++
-		return p.shared.nextID
-	default:
-		p.nextPktID++
-		return p.nextPktID
 	}
+	p.nextPktID++
+	return p.nextPktID
 }
 
 // probeTag is the payload of simulated probe packets.
@@ -136,7 +125,7 @@ func (p *Prober) RTT() time.Duration {
 // Idle advances the simulation by d, letting cross traffic evolve and
 // queues drain between streams.
 func (p *Prober) Idle(d time.Duration) error {
-	p.section(func(sim *netsim.Simulator) (func() bool, netsim.Time) {
+	p.section(false, func(sim *netsim.Simulator) (func() bool, netsim.Time) {
 		return nil, sim.Now() + netsim.FromDuration(d)
 	}, nil)
 	return nil
@@ -179,7 +168,7 @@ func (p *Prober) SendStream(spec pathload.StreamSpec) (pathload.StreamResult, er
 	var got []arrival
 	res := pathload.StreamResult{Sent: spec.K}
 
-	p.section(func(sim *netsim.Simulator) (func() bool, netsim.Time) {
+	p.section(true, func(sim *netsim.Simulator) (func() bool, netsim.Time) {
 		start := sim.Now()
 		got = make([]arrival, 0, spec.K)
 		tags := make([]probeTag, spec.K)

@@ -71,10 +71,8 @@ type Prober struct {
 }
 
 // Dial connects to a sender daemon's control address and performs the
-// hello handshake, negotiating the protocol version: it opens with the
-// version-3 range hello, and if the sender is too old to parse it
-// (pre-range senders drop the session on the 6-byte payload), it
-// redials once and falls back to the legacy exact-version form. The
+// hello handshake, negotiating the protocol version: it proposes
+// [VersionMin, Version] and the sender acks the version it chose. The
 // returned prober must be closed after use.
 func Dial(senderAddr string, cfg ProberConfig) (*Prober, error) {
 	cfg = cfg.withDefaults()
@@ -82,44 +80,21 @@ func Dial(senderAddr string, cfg ProberConfig) (*Prober, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udprobe: data listen: %w", err)
 	}
-	port := uint16(udp.LocalAddr().(*net.UDPAddr).Port)
-
-	p, rangeErr := dialHandshake(senderAddr, cfg, udp, wire.MarshalHelloRange(wire.HelloRange{
-		Min: wire.VersionMin, Max: wire.Version, UDPPort: port,
-	}), wire.VersionMin)
-	if rangeErr == nil {
-		return p, nil
-	}
-	// A legacy sender read 6 bytes where it expected 4 and hung up; a
-	// modern sender that refuses [VersionMin, Version] outright would
-	// refuse the narrower legacy form too, so one fallback attempt is
-	// sound either way.
-	p, legacyErr := dialHandshake(senderAddr, cfg, udp, wire.MarshalHello(wire.Hello{
-		Version: wire.VersionMin, UDPPort: port,
-	}), wire.VersionMin)
-	if legacyErr != nil {
-		udp.Close()
-		return nil, fmt.Errorf("udprobe: hello handshake failed at both forms: range: %v; legacy: %w", rangeErr, legacyErr)
-	}
-	return p, nil
-}
-
-// dialHandshake runs one control connection attempt with the given
-// hello payload. ackFallback is the session version implied by a
-// legacy empty-payload ack — the exact version the hello proposed. On
-// error the control connection is closed; the UDP socket is the
-// caller's.
-func dialHandshake(senderAddr string, cfg ProberConfig, udp *net.UDPConn, hello []byte, ackFallback uint16) (*Prober, error) {
 	ctrl, err := net.DialTimeout("tcp", senderAddr, cfg.ControlTimeout)
 	if err != nil {
+		udp.Close()
 		return nil, fmt.Errorf("udprobe: control dial: %w", err)
 	}
 	p := &Prober{cfg: cfg, ctrl: ctrl, udp: udp, buf: make([]byte, 64<<10)}
 	fail := func(err error) (*Prober, error) {
 		ctrl.Close()
+		udp.Close()
 		return nil, err
 	}
 
+	hello := wire.MarshalHelloRange(wire.HelloRange{
+		Min: wire.VersionMin, Max: wire.Version, UDPPort: uint16(udp.LocalAddr().(*net.UDPAddr).Port),
+	})
 	t0 := time.Now()
 	if err := p.writeCtrl(wire.MsgHello, hello); err != nil {
 		return fail(err)
@@ -133,7 +108,7 @@ func dialHandshake(senderAddr string, cfg ProberConfig, udp *net.UDPConn, hello 
 	}
 	p.rtt = time.Since(t0)
 	p.rttAt = time.Now()
-	ack, err := wire.UnmarshalHelloAck(payload, ackFallback)
+	ack, err := wire.UnmarshalHelloAck(payload)
 	if err != nil {
 		return fail(err)
 	}

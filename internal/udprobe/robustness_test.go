@@ -48,7 +48,7 @@ func TestSenderRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: 99, UDPPort: 1})); err != nil {
+	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHelloRange(wire.HelloRange{Min: 99, Max: 99, UDPPort: 1})); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -74,7 +74,7 @@ func TestSenderBoundsStreamRequests(t *testing.T) {
 	defer udp.Close()
 	port := uint16(udp.LocalAddr().(*net.UDPAddr).Port)
 
-	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: wire.Version, UDPPort: port})); err != nil {
+	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHelloRange(wire.HelloRange{Min: wire.Version, Max: wire.Version, UDPPort: port})); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := wire.ReadMessage(conn); err != nil || mt != wire.MsgHelloAck {

@@ -315,7 +315,7 @@ func TestSenderSessionIdleTimeout(t *testing.T) {
 	}
 	defer udp.Close()
 	port := uint16(udp.LocalAddr().(*net.UDPAddr).Port)
-	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: wire.Version, UDPPort: port})); err != nil {
+	if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHelloRange(wire.HelloRange{Min: wire.Version, Max: wire.Version, UDPPort: port})); err != nil {
 		t.Fatal(err)
 	}
 	if mt, _, err := wire.ReadMessage(conn); err != nil || mt != wire.MsgHelloAck {
@@ -376,7 +376,7 @@ func TestSenderEmissionGateSerializesOverlappingStreams(t *testing.T) {
 		}
 		defer udp.Close()
 		port := uint16(udp.LocalAddr().(*net.UDPAddr).Port)
-		if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHello(wire.Hello{Version: wire.Version, UDPPort: port})); err != nil {
+		if err := wire.WriteMessage(conn, wire.MsgHello, wire.MarshalHelloRange(wire.HelloRange{Min: wire.Version, Max: wire.Version, UDPPort: port})); err != nil {
 			fail(err)
 			return
 		}

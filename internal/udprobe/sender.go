@@ -218,8 +218,6 @@ func (s *Sender) serveSession(conn net.Conn) error {
 	if t != wire.MsgHello {
 		return fmt.Errorf("expected hello, got %v", t)
 	}
-	// Either hello form: the version-3 range hello or the legacy
-	// 4-byte exact-version hello (a degenerate range).
 	hello, err := wire.ParseHello(payload)
 	if err != nil {
 		return err
@@ -243,8 +241,7 @@ func (s *Sender) serveSession(conn net.Conn) error {
 	}
 	defer udp.Close()
 
-	// The ack names the chosen version. Legacy receivers discard the
-	// ack payload, so they interoperate without noticing it.
+	// The ack names the chosen version.
 	if err := wire.WriteMessage(conn, wire.MsgHelloAck, wire.MarshalHelloAck(wire.HelloAck{Version: version})); err != nil {
 		return err
 	}

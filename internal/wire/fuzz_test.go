@@ -84,7 +84,7 @@ func FuzzControlStream(f *testing.F) {
 		}
 		return b.Bytes()
 	}
-	f.Add(frame(MsgHello, MarshalHello(Hello{Version: Version, UDPPort: 9999})))
+	f.Add(frame(MsgHello, MarshalHelloRange(HelloRange{Min: VersionMin, Max: Version, UDPPort: 9999})))
 	f.Add(frame(MsgStreamRequest, MarshalStreamRequest(StreamRequest{Gen: 4, Fleet: 1, Stream: 2, K: 100, L: 300, PeriodNs: 100_000})))
 	f.Add(frame(MsgStreamDone, MarshalStreamDone(StreamDone{Gen: 4, Fleet: 1, Stream: 2, Sent: 100, Flagged: 1})))
 	f.Add(frame(MsgBye, nil))
@@ -105,23 +105,23 @@ func FuzzControlStream(f *testing.F) {
 	})
 }
 
-// FuzzPayloadRoundTrips: the three fixed-layout control payloads must
+// FuzzPayloadRoundTrips: the fixed-layout control payloads must
 // round-trip through their unmarshal/marshal pairs whenever they
 // decode at all.
 func FuzzPayloadRoundTrips(f *testing.F) {
-	f.Add(MarshalHello(Hello{Version: 1, UDPPort: 55555}))
+	f.Add(MarshalHelloRange(HelloRange{Min: Version, Max: Version, UDPPort: 55555}))
 	f.Add(MarshalHelloRange(HelloRange{Min: 2, Max: 3, UDPPort: 55555}))
 	f.Add(MarshalStreamRequest(StreamRequest{Gen: 2, Fleet: 7, Stream: 3, K: 100, L: 1500, PeriodNs: 1 << 40}))
 	f.Add(MarshalStreamDone(StreamDone{Gen: 2, Fleet: 7, Stream: 3, Sent: 99, Flagged: 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if h, err := UnmarshalHello(data); err == nil {
-			if !bytes.Equal(MarshalHello(h), data) {
-				t.Fatalf("hello round-trip mismatch for %x", data)
-			}
-		}
-		if h, err := UnmarshalHelloRange(data); err == nil {
+		if h, err := ParseHello(data); err == nil {
 			if !bytes.Equal(MarshalHelloRange(h), data) {
 				t.Fatalf("range hello round-trip mismatch for %x", data)
+			}
+		}
+		if a, err := UnmarshalHelloAck(data); err == nil {
+			if !bytes.Equal(MarshalHelloAck(a), data) {
+				t.Fatalf("hello-ack round-trip mismatch for %x", data)
 			}
 		}
 		if q, err := UnmarshalStreamRequest(data); err == nil {

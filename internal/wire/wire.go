@@ -113,7 +113,8 @@ func (t MsgType) String() string {
 // layout and adds the range handshake: a 6-byte hello advertising a
 // [min, max] version range and a hello-ack carrying the version the
 // sender chose, so mixed-version fleets negotiate instead of
-// hard-failing on any skew.
+// hard-failing on any skew. Every session opens with the range hello;
+// the 4-byte exact-version hello of earlier builds is refused.
 const Version uint16 = 3
 
 // VersionMin is the oldest protocol version this build still speaks.
@@ -139,27 +140,16 @@ func Negotiate(peerMin, peerMax uint16) (uint16, error) {
 	return chosen, nil
 }
 
-// A Hello opens a control session and advertises the UDP port the
-// receiver listens on. This is the legacy (version ≤ 2) exact-version
-// form; version-3 peers open with a HelloRange instead and fall back
-// to this one for old senders.
-type Hello struct {
-	Version uint16
-	UDPPort uint16
-}
-
-// A HelloRange is the version-3 session opener: the receiver proposes
-// a whole version range and the sender picks.
+// A HelloRange opens a control session: the receiver proposes a whole
+// version range and advertises the UDP port it listens on, and the
+// sender picks the version.
 type HelloRange struct {
 	Min, Max uint16
 	UDPPort  uint16
 }
 
 // A HelloAck answers a hello with the version the sender chose for the
-// session. Legacy (version ≤ 2) senders ack with an empty payload,
-// implying the exact version the hello proposed; legacy receivers
-// ignore the ack payload entirely, which is what makes adding it
-// backward compatible.
+// session.
 type HelloAck struct {
 	Version uint16
 }
@@ -232,26 +222,7 @@ func ReadMessage(r io.Reader) (MsgType, []byte, error) {
 	return t, payload, nil
 }
 
-// MarshalHello encodes a Hello payload.
-func MarshalHello(h Hello) []byte {
-	buf := make([]byte, 4)
-	binary.BigEndian.PutUint16(buf[0:], h.Version)
-	binary.BigEndian.PutUint16(buf[2:], h.UDPPort)
-	return buf
-}
-
-// UnmarshalHello decodes a Hello payload.
-func UnmarshalHello(buf []byte) (Hello, error) {
-	if len(buf) != 4 {
-		return Hello{}, fmt.Errorf("wire: hello payload %d bytes, want 4", len(buf))
-	}
-	return Hello{
-		Version: binary.BigEndian.Uint16(buf[0:]),
-		UDPPort: binary.BigEndian.Uint16(buf[2:]),
-	}, nil
-}
-
-// MarshalHelloRange encodes a version-3 range hello:
+// MarshalHelloRange encodes a range hello:
 // [min u16][max u16][udp port u16].
 func MarshalHelloRange(h HelloRange) []byte {
 	buf := make([]byte, 6)
@@ -261,10 +232,12 @@ func MarshalHelloRange(h HelloRange) []byte {
 	return buf
 }
 
-// UnmarshalHelloRange decodes a version-3 range hello payload.
-func UnmarshalHelloRange(buf []byte) (HelloRange, error) {
+// ParseHello decodes the hello payload a sender receives. Only the
+// 6-byte range form exists; anything else — including the retired
+// 4-byte exact-version form — is an error, as is an inverted range.
+func ParseHello(buf []byte) (HelloRange, error) {
 	if len(buf) != 6 {
-		return HelloRange{}, fmt.Errorf("wire: range hello payload %d bytes, want 6", len(buf))
+		return HelloRange{}, fmt.Errorf("wire: hello payload %d bytes, want 6 (version range)", len(buf))
 	}
 	h := HelloRange{
 		Min:     binary.BigEndian.Uint16(buf[0:]),
@@ -277,25 +250,6 @@ func UnmarshalHelloRange(buf []byte) (HelloRange, error) {
 	return h, nil
 }
 
-// ParseHello accepts either hello form — the 6-byte version range or
-// the legacy 4-byte exact version (which parses as the degenerate
-// range [v, v]) — so one sender code path serves both generations of
-// receivers.
-func ParseHello(buf []byte) (HelloRange, error) {
-	switch len(buf) {
-	case 4:
-		h, err := UnmarshalHello(buf)
-		if err != nil {
-			return HelloRange{}, err
-		}
-		return HelloRange{Min: h.Version, Max: h.Version, UDPPort: h.UDPPort}, nil
-	case 6:
-		return UnmarshalHelloRange(buf)
-	default:
-		return HelloRange{}, fmt.Errorf("wire: hello payload %d bytes, want 4 (legacy) or 6 (range)", len(buf))
-	}
-}
-
 // MarshalHelloAck encodes a hello-ack payload carrying the chosen
 // version.
 func MarshalHelloAck(a HelloAck) []byte {
@@ -304,18 +258,13 @@ func MarshalHelloAck(a HelloAck) []byte {
 	return buf
 }
 
-// UnmarshalHelloAck decodes a hello-ack payload. An empty payload is a
-// legacy ack: the sender accepted exactly the version the hello
-// proposed, reported here as fallback.
-func UnmarshalHelloAck(buf []byte, fallback uint16) (HelloAck, error) {
-	switch len(buf) {
-	case 0:
-		return HelloAck{Version: fallback}, nil
-	case 2:
-		return HelloAck{Version: binary.BigEndian.Uint16(buf)}, nil
-	default:
-		return HelloAck{}, fmt.Errorf("wire: hello-ack payload %d bytes, want 0 (legacy) or 2", len(buf))
+// UnmarshalHelloAck decodes a hello-ack payload. It must name the
+// chosen version; an empty ack is an error, never an assumed version.
+func UnmarshalHelloAck(buf []byte) (HelloAck, error) {
+	if len(buf) != 2 {
+		return HelloAck{}, fmt.Errorf("wire: hello-ack payload %d bytes, want 2", len(buf))
 	}
+	return HelloAck{Version: binary.BigEndian.Uint16(buf)}, nil
 }
 
 // MarshalStreamRequest encodes a StreamRequest payload.

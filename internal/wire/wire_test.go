@@ -65,11 +65,11 @@ func TestProbeErrors(t *testing.T) {
 func TestControlRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 
-	hello := Hello{Version: Version, UDPPort: 4242}
+	hello := HelloRange{Min: VersionMin, Max: Version, UDPPort: 4242}
 	req := StreamRequest{Gen: 5, Fleet: 1, Stream: 2, K: 100, L: 300, PeriodNs: 100_000}
 	done := StreamDone{Gen: 5, Fleet: 1, Stream: 2, Sent: 100, Flagged: 1}
 
-	if err := WriteMessage(&buf, MsgHello, MarshalHello(hello)); err != nil {
+	if err := WriteMessage(&buf, MsgHello, MarshalHelloRange(hello)); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteMessage(&buf, MsgStreamRequest, MarshalStreamRequest(req)); err != nil {
@@ -86,7 +86,7 @@ func TestControlRoundTrips(t *testing.T) {
 	if err != nil || mt != MsgHello {
 		t.Fatalf("first message %v, %v", mt, err)
 	}
-	if got, err := UnmarshalHello(p); err != nil || got != hello {
+	if got, err := ParseHello(p); err != nil || got != hello {
 		t.Fatalf("hello round trip %+v, %v", got, err)
 	}
 	mt, p, err = ReadMessage(&buf)
@@ -147,7 +147,7 @@ func TestReadMessageErrors(t *testing.T) {
 
 // TestPayloadSizeValidation checks strict payload lengths.
 func TestPayloadSizeValidation(t *testing.T) {
-	if _, err := UnmarshalHello([]byte{1}); err == nil {
+	if _, err := ParseHello([]byte{1}); err == nil {
 		t.Error("short hello accepted")
 	}
 	if _, err := UnmarshalStreamRequest(make([]byte, 27)); err == nil {
@@ -187,7 +187,7 @@ func TestNegotiate(t *testing.T) {
 		ok       bool
 	}{
 		{VersionMin, Version, Version, true},       // same build
-		{VersionMin, VersionMin, VersionMin, true}, // legacy exact hello in range
+		{VersionMin, VersionMin, VersionMin, true}, // degenerate range at our floor
 		{Version, Version + 5, Version, true},      // newer peer meets us at our max
 		{VersionMin - 1, VersionMin, VersionMin, true},
 		{Version + 1, Version + 9, 0, false}, // peer too new throughout
@@ -204,37 +204,35 @@ func TestNegotiate(t *testing.T) {
 	}
 }
 
-// TestParseHelloForms: the sender-side parser must take both hello
-// generations and reject everything else.
+// TestParseHelloForms: the sender-side parser takes the range hello
+// and rejects everything else, the retired 4-byte exact-version hello
+// included.
 func TestParseHelloForms(t *testing.T) {
-	legacy, err := ParseHello(MarshalHello(Hello{Version: 2, UDPPort: 7777}))
-	if err != nil || legacy != (HelloRange{Min: 2, Max: 2, UDPPort: 7777}) {
-		t.Fatalf("legacy hello parsed as %+v, %v", legacy, err)
-	}
 	ranged, err := ParseHello(MarshalHelloRange(HelloRange{Min: 2, Max: 3, UDPPort: 8888}))
 	if err != nil || ranged != (HelloRange{Min: 2, Max: 3, UDPPort: 8888}) {
 		t.Fatalf("range hello parsed as %+v, %v", ranged, err)
 	}
-	if _, err := ParseHello(make([]byte, 5)); err == nil {
-		t.Error("5-byte hello accepted")
+	for _, n := range []int{0, 4, 5, 7} {
+		if _, err := ParseHello(make([]byte, n)); err == nil {
+			t.Errorf("%d-byte hello accepted", n)
+		}
 	}
 	if _, err := ParseHello(MarshalHelloRange(HelloRange{Min: 3, Max: 2})); err == nil {
 		t.Error("inverted version range accepted")
 	}
 }
 
-// TestHelloAckForms: the 2-byte chosen-version ack and the legacy
-// empty ack (which implies the proposed version) both decode.
+// TestHelloAckForms: the 2-byte chosen-version ack decodes; any other
+// length — the empty ack of earlier builds included — is an error, not
+// an assumed version.
 func TestHelloAckForms(t *testing.T) {
-	ack, err := UnmarshalHelloAck(MarshalHelloAck(HelloAck{Version: 3}), 2)
+	ack, err := UnmarshalHelloAck(MarshalHelloAck(HelloAck{Version: 3}))
 	if err != nil || ack.Version != 3 {
 		t.Fatalf("ack round trip: %+v, %v", ack, err)
 	}
-	ack, err = UnmarshalHelloAck(nil, 2)
-	if err != nil || ack.Version != 2 {
-		t.Fatalf("legacy empty ack: %+v, %v", ack, err)
-	}
-	if _, err := UnmarshalHelloAck([]byte{1}, 2); err == nil {
-		t.Error("1-byte ack accepted")
+	for _, n := range []int{0, 1, 3} {
+		if ack, err := UnmarshalHelloAck(make([]byte, n)); err == nil {
+			t.Errorf("%d-byte ack accepted as %+v", n, ack)
+		}
 	}
 }

@@ -120,11 +120,14 @@ type MonitorConfig struct {
 	// ok == false ends that path's session cleanly (its schedule is
 	// exhausted), independent of Rounds.
 	Scheduler schedule.Scheduler
-	// Admission gates measurement starts across the fleet. nil selects
-	// schedule.NewWorkers(Workers), the original bounded worker pool;
-	// schedule.NewStagger keeps paths that share a tight link from
-	// co-probing (feed it mesh.Mesh.TightOverlaps). When Admission is
-	// set, Workers only applies through the policy itself.
+	// Admission gates measurement starts across the fleet in wall time.
+	// nil selects schedule.NewWorkers(Workers), the original bounded
+	// worker pool; schedule.NewStagger keeps paths that share a tight
+	// link from co-probing (agents on real paths feed it the
+	// coordinator's conflict graph). When Admission is set, Workers only
+	// applies through the policy itself. A Driver excludes Admission:
+	// sequenced fleets stagger conflicting paths through the driver
+	// (internal/simprobe.SequencedDriver.Stagger) instead.
 	Admission schedule.Admission
 	// Reconnect tunes how factory-backed sessions (AddPathFactory)
 	// heal after a transport failure. The zero value selects the
@@ -146,8 +149,9 @@ type MonitorConfig struct {
 	// AddPath sessions with nil Admission: factory healing needs wall
 	// time, and an admission policy that blocks a session would stall a
 	// barrier-based driver's fleet round. The monitor then admits all
-	// sessions unconditionally — interleave control is the driver's
-	// job. nil keeps the original wall-clock loop.
+	// sessions unconditionally and ignores Workers — interleave control,
+	// conflict staggering included, is the driver's job. nil keeps the
+	// original wall-clock loop.
 	Driver Driver
 }
 
@@ -451,7 +455,7 @@ func (m *Monitor) Start() error {
 			}
 		}
 		if m.cfg.Admission != nil {
-			return fmt.Errorf("pathload: monitor Driver is incompatible with an Admission policy: a session blocked in admission would stall the driver's fleet round")
+			return fmt.Errorf("pathload: monitor Driver is incompatible with an Admission policy: a session blocked in admission would stall the driver's fleet round (stagger conflicting paths with SequencedDriver.Stagger instead)")
 		}
 	}
 	if m.cfg.Resume != nil {
