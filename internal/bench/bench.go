@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crosstraffic"
 	"repro/internal/eventq"
 	"repro/internal/experiments"
 	"repro/internal/netsim"
@@ -67,6 +68,7 @@ func Suite() []Benchmark {
 	return []Benchmark{
 		{"EventQScheduleFire", benchEventQScheduleFire},
 		{"SimulatorPacketForwarding", benchPacketForwarding},
+		{"CrossTrafficHop", benchCrossTrafficHop},
 		{"ProbeStream", benchProbeStream},
 		{"LockstepAdvance64", benchLockstepAdvance},
 		{"ScaleFleet64", benchScaleFleet},
@@ -105,6 +107,26 @@ func benchPacketForwarding(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(net.Sim.Events())/b.Elapsed().Seconds(), "events/s")
+}
+
+// benchCrossTrafficHop measures the traffic that dominates every
+// simulated path: a one-hop Poisson aggregate of trimodal packets at 70%
+// of a 100 Mb/s link with 5 ms propagation, advanced 10 ms per op. Such
+// packets leave the network at their only hop, so each costs one event,
+// its source's tick; events/pkt reports that cost.
+func benchCrossTrafficHop(b *testing.B) {
+	sim := netsim.NewSimulator()
+	link := netsim.NewLink(sim, "hop", 100e6, 5*netsim.Millisecond, 0)
+	crosstraffic.NewAggregate(sim, []*netsim.Link{link}, 0.7*100e6, 10, crosstraffic.ModelPoisson, crosstraffic.Trimodal{}, 1).Start()
+	sim.RunFor(100 * netsim.Millisecond) // steady state off the timer
+	ev0, in0 := sim.Events(), link.Counters().PktsIn
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.RunFor(10 * netsim.Millisecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(sim.Events()-ev0)/float64(link.Counters().PktsIn-in0), "events/pkt")
 }
 
 // benchProbeStream measures one simulated probe stream end to end:

@@ -372,7 +372,8 @@ type pushMsg struct {
 }
 
 // maxErrLen caps a pushed point's error text so a pathological error
-// string cannot blow the frame limit.
+// string cannot blow the frame limit. Senders truncate to it and
+// receivers reject longer text, so the encoding stays canonical.
 const maxErrLen = 256
 
 func marshalPush(p pushMsg) []byte {
@@ -418,6 +419,9 @@ func unmarshalPush(b []byte) (pushMsg, error) {
 			Bits:  d.f64("push"),
 			Err:   d.str("push"),
 		}
+		if len(pt.Err) > maxErrLen {
+			return pushMsg{}, fmt.Errorf("coord: push point error text is %d bytes, limit %d", len(pt.Err), maxErrLen)
+		}
 		p.Points = append(p.Points, pt)
 	}
 	p.DigestBinary = append([]byte(nil), d.bytes("push")...)
@@ -441,8 +445,11 @@ func marshalPushAck(a pushAckMsg) []byte {
 
 func unmarshalPushAck(b []byte) (pushAckMsg, error) {
 	d := &decoder{buf: b}
-	a := pushAckMsg{Seq: d.u64("push-ack"), Applied: d.u8("push-ack") != 0}
-	return a, d.done("push-ack")
+	seq, applied := d.u64("push-ack"), d.u8("push-ack")
+	if applied > 1 {
+		return pushAckMsg{}, fmt.Errorf("coord: push-ack applied flag %d is not 0 or 1", applied)
+	}
+	return pushAckMsg{Seq: seq, Applied: applied == 1}, d.done("push-ack")
 }
 
 // nonceLen is the challenge nonce size. 32 random bytes make nonce

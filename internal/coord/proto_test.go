@@ -2,7 +2,9 @@ package coord
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,5 +159,32 @@ func TestNegotiate(t *testing.T) {
 		if (err == nil) != c.ok || got != c.want {
 			t.Errorf("Negotiate(%d, %d) = %d, %v; want %d, ok=%v", c.min, c.max, got, err, c.want, c.ok)
 		}
+	}
+}
+
+// TestDecodersRejectNonCanonical: the SLCP encoding is canonical, so a
+// payload no encoder produces — a push-ack flag other than 0 or 1, a
+// pushed error text over maxErrLen — is rejected rather than decoded
+// into a value that re-marshals differently.
+func TestDecodersRejectNonCanonical(t *testing.T) {
+	ack := marshalPushAck(pushAckMsg{Seq: 1, Applied: true})
+	ack[len(ack)-1] = 2
+	if _, err := unmarshalPushAck(ack); err == nil {
+		t.Error("push-ack with applied flag 2 decoded")
+	}
+	// marshalPush truncates error text, so build the point by hand: a
+	// zero-point push, its point count and empty digest replaced.
+	long := strings.Repeat("x", maxErrLen+1)
+	b := marshalPush(pushMsg{Seq: 1, Path: "p"})
+	b = binary.BigEndian.AppendUint32(b[:len(b)-8], 1)
+	b = append(b, make([]byte, 6*8)...) // round, at, span, lo, hi, bits
+	b = appendStr(b, long)
+	b = binary.BigEndian.AppendUint32(b, 0)
+	if _, err := unmarshalPush(b); err == nil {
+		t.Errorf("push with a %d-byte error text decoded", len(long))
+	}
+	p := pushMsg{Seq: 1, Path: "p", Points: []tsstore.Point{{Err: long}}}
+	if q, err := unmarshalPush(marshalPush(p)); err != nil || len(q.Points[0].Err) != maxErrLen {
+		t.Errorf("a marshaled push with a long error text did not decode truncated to %d bytes: %v", maxErrLen, err)
 	}
 }

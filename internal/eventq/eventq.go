@@ -26,6 +26,10 @@ type Event struct {
 // At returns the simulated time at which the event fires.
 func (e *Event) At() int64 { return e.at }
 
+// Seq returns the event's sequence number, its tie-break among events
+// due at the same time.
+func (e *Event) Seq() uint64 { return e.seq }
+
 // Fire runs the event's callback. It is a no-op on cancelled events.
 func (e *Event) Fire() {
 	if e.fn != nil {
@@ -76,6 +80,25 @@ func (q *Queue) Len() int { return len(q.h) }
 // time travel separately. Steady state, Schedule is allocation-free:
 // it reuses events recycled by Recycle and Cancel.
 func (q *Queue) Schedule(at int64, fn func()) Handle {
+	return q.ScheduleReserved(at, q.Reserve(), fn)
+}
+
+// Reserve consumes the next sequence number without scheduling an
+// event and returns it. A caller that settles an event's effects
+// itself instead of scheduling it reserves the number the event would
+// have taken, so the (at, seq) key it keeps orders exactly as the event
+// would have against every event scheduled before and after.
+func (q *Queue) Reserve() uint64 {
+	seq := q.seq
+	q.seq++
+	return seq
+}
+
+// ScheduleReserved enqueues fn at time at under seq, a number
+// previously returned by Reserve: it turns a reserved key back into a
+// real event, which fires exactly where a Schedule made at reservation
+// time would have.
+func (q *Queue) ScheduleReserved(at int64, seq uint64, fn func()) Handle {
 	var e *Event
 	if n := len(q.free); n > 0 {
 		e = q.free[n-1]
@@ -84,8 +107,7 @@ func (q *Queue) Schedule(at int64, fn func()) Handle {
 	} else {
 		e = &Event{}
 	}
-	e.at, e.seq, e.fn = at, q.seq, fn
-	q.seq++
+	e.at, e.seq, e.fn = at, seq, fn
 	q.h = append(q.h, e)
 	e.index = len(q.h) - 1
 	q.up(e.index)

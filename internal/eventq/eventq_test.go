@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,24 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-time events fired in order %v, want scheduling order", fired)
 		}
+	}
+}
+
+// TestReservedSeqKeepsItsPlace: a sequence number reserved between two
+// same-time Schedules and scheduled later still fires between them.
+func TestReservedSeqKeepsItsPlace(t *testing.T) {
+	var q Queue
+	var fired []int
+	q.Schedule(42, func() { fired = append(fired, 0) })
+	seq := q.Reserve()
+	q.Schedule(42, func() { fired = append(fired, 2) })
+	q.Schedule(41, func() { fired = append(fired, -1) })
+	q.ScheduleReserved(42, seq, func() { fired = append(fired, 1) })
+	for q.Len() > 0 {
+		q.Pop().Fire()
+	}
+	if want := []int{-1, 0, 1, 2}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
 

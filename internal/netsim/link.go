@@ -28,6 +28,18 @@ type LinkCounters struct {
 // propagation complete in FIFO order per link, the link keeps its
 // in-flight packets in two rings and schedules two prebound callbacks
 // (no per-packet closures), each of which pops its ring's head.
+//
+// A departing packet — nil sink, last hop of its route — costs no event
+// after it arrives. It is freed at completion instead of propagating,
+// and on a link without OnTransmit observers its completion is lazy: the
+// link reserves the sequence number the completion event would have
+// taken and, whenever its state is next needed (an arrival, an eager
+// completion, Counters, QueuedBytes), settles every departure keyed
+// before the last event the simulator fired. Settling applies the
+// completion's effects in the completion's own order, so the link's
+// counters, queue and impairment draws are exactly those of an eager
+// run; the one-hop cross traffic that dominates a simulation then costs
+// one event per packet, its source's tick.
 type Link struct {
 	sim      *Simulator
 	name     string
@@ -42,7 +54,8 @@ type Link struct {
 
 	// inService and propagating are FIFO rings of packets being
 	// transmitted and in flight to the next hop; their heads are popped
-	// by txDoneFn and propFn, bound once at NewLink.
+	// by txDoneFn and propFn, bound once at NewLink, and by settle for
+	// lazily completed departures.
 	inService   ring[txRec]
 	propagating ring[propRec]
 	txDoneFn    func()
@@ -81,7 +94,8 @@ type impairState struct {
 // Impair installs (or, with a zero Impairment, removes) the link's
 // loss/reordering impairment. Reordered packets take a one-off
 // scheduled event instead of the allocation-free propagation ring, so
-// only impaired traffic pays for the flexibility. Out-of-range
+// only impaired traffic pays for the flexibility; a reordered departing
+// packet is counted and freed like any other departure. Out-of-range
 // probabilities panic, like the NewLink parameter checks.
 func (l *Link) Impair(cfg Impairment) {
 	if cfg.Loss < 0 || cfg.Loss >= 1 || cfg.Reorder < 0 || cfg.Reorder >= 1 {
@@ -93,6 +107,8 @@ func (l *Link) Impair(cfg Impairment) {
 	if cfg.ReorderDelay < 0 {
 		panic(fmt.Sprintf("netsim: link %q: negative ReorderDelay %v", l.name, cfg.ReorderDelay))
 	}
+	// Departures completed before now draw from the old impairment.
+	l.settle()
 	if cfg.Loss == 0 && cfg.Reorder == 0 {
 		l.impair = nil
 		return
@@ -102,10 +118,13 @@ func (l *Link) Impair(cfg Impairment) {
 
 // txRec is one packet in service: its transmission time and completion
 // instant, recorded at arrival so the completion callback needs no
-// closure state.
+// closure state. A lazily completed departure also carries the sequence
+// number its completion event would have taken, plus one; lazy is 0 for
+// a packet whose completion is a scheduled txDone.
 type txRec struct {
 	pkt      *Packet
 	tx, done Time
+	lazy     uint64
 }
 
 // propRec is one packet propagating toward the next hop.
@@ -143,16 +162,42 @@ func (l *Link) PropDelay() Time { return l.prop }
 // Buffer returns the drop-tail queue limit in bytes (0 = unbounded).
 func (l *Link) Buffer() int { return l.buf }
 
-// QueuedBytes returns the bytes currently queued or in service.
-func (l *Link) QueuedBytes() int { return l.queued }
+// QueuedBytes returns the bytes currently queued or in service. Like
+// Counters it settles departures first, so it must be called from the
+// simulator's own goroutine: inside an event, or by whoever drives the
+// simulator between Run/Step calls.
+func (l *Link) QueuedBytes() int {
+	l.settle()
+	return l.queued
+}
 
-// Counters returns a snapshot of the link's cumulative counters.
-func (l *Link) Counters() LinkCounters { return l.ctr }
+// Counters returns a snapshot of the link's cumulative counters, exact
+// as of the last event fired. It settles lazily completed departures
+// first (a write to the link), so it must be called from the
+// simulator's own goroutine: inside an event, or by whoever drives the
+// simulator between Run/Step calls (a sequenced fleet's floor).
+func (l *Link) Counters() LinkCounters {
+	l.settle()
+	return l.ctr
+}
 
 // OnTransmit registers an observer invoked whenever a packet finishes
 // transmission on this link, with the completion time. Monitors use it
-// for windowed byte counting.
-func (l *Link) OnTransmit(fn func(pkt *Packet, done Time)) { l.onTransmit = append(l.onTransmit, fn) }
+// for windowed byte counting. An observer must fire at the completion
+// instant, so it forces eager completion: every packet on an observed
+// link gets its txDone event, including departures already in service,
+// which take the events their reserved sequence numbers stand for.
+func (l *Link) OnTransmit(fn func(pkt *Packet, done Time)) {
+	l.settle()
+	r := &l.inService
+	for i := r.head; i < len(r.buf); i++ {
+		if rec := &r.buf[i]; rec.lazy != 0 {
+			l.sim.q.ScheduleReserved(int64(rec.done), rec.lazy-1, l.txDoneFn)
+			rec.lazy = 0
+		}
+	}
+	l.onTransmit = append(l.onTransmit, fn)
+}
 
 // OnDrop registers an observer invoked when a packet is dropped at this
 // link's full buffer.
@@ -178,6 +223,7 @@ func Utilization(before, after LinkCounters, window Time) float64 {
 
 // arrive handles a packet reaching this link's input queue.
 func (l *Link) arrive(pkt *Packet, at Time) {
+	l.settle()
 	l.ctr.PktsIn++
 	if imp := l.impair; imp != nil && imp.cfg.Loss > 0 && imp.rng.Float64() < imp.cfg.Loss {
 		// Wire erasure: the packet vanishes before this hop's queue.
@@ -208,15 +254,45 @@ func (l *Link) arrive(pkt *Packet, at Time) {
 	tx := l.TxTime(pkt.Size)
 	done := start + tx
 	l.busyUntil = done
-	l.inService.push(txRec{pkt: pkt, tx: tx, done: done})
-	l.sim.Schedule(done, l.txDoneFn)
+	rec := txRec{pkt: pkt, tx: tx, done: done}
+	if pkt.departing() && len(l.onTransmit) == 0 {
+		rec.lazy = l.sim.q.Reserve() + 1
+	} else {
+		l.sim.Schedule(done, l.txDoneFn)
+	}
+	l.inService.push(rec)
+}
+
+// settle completes the lazy departures at the head of the in-service
+// ring whose reserved completion key orders before the last event the
+// simulator fired. Records are in arrival order, so their keys increase
+// and the first unfired or eager record ends the scan.
+func (l *Link) settle() {
+	r := &l.inService
+	for r.head < len(r.buf) {
+		rec := r.buf[r.head]
+		if rec.lazy == 0 || !l.sim.fired(rec.done, rec.lazy-1) {
+			return
+		}
+		r.pop()
+		l.complete(rec)
+	}
 }
 
 // txDone completes the head of the in-service ring. Completions are
-// FIFO because busyUntil never decreases, so the ring head is always
-// the packet whose event is firing.
+// FIFO because busyUntil never decreases, so once the lazy departures
+// ahead of it are settled the ring head is the packet whose event is
+// firing.
 func (l *Link) txDone() {
-	rec := l.inService.pop()
+	l.settle()
+	l.complete(l.inService.pop())
+}
+
+// complete accounts one finished transmission and sends the packet on:
+// to the next hop after the propagation delay, or, for a departing
+// packet, back to the freelist, since the delivery at the end of its
+// propagation would only free it.
+func (l *Link) complete(rec txRec) {
 	pkt := rec.pkt
 	l.queued -= pkt.Size
 	l.ctr.PktsOut++
@@ -225,20 +301,26 @@ func (l *Link) txDone() {
 	for _, fn := range l.onTransmit {
 		fn(pkt, rec.done)
 	}
+	reorder := false
 	if imp := l.impair; imp != nil && imp.cfg.Reorder > 0 && imp.rng.Float64() < imp.cfg.Reorder {
+		l.ctr.Reordered++
+		reorder = true
+	}
+	switch {
+	case pkt.departing():
+		l.sim.FreePacket(pkt)
+	case reorder:
 		// Reordered delivery: this packet bypasses the FIFO propagation
 		// ring (whose invariant is constant per-link latency) and takes
 		// its own event at prop + ReorderDelay, arriving behind packets
 		// transmitted after it. The closure allocation is confined to
-		// impaired packets, keeping the unimpaired hot path alloc-free.
-		l.ctr.Reordered++
-		at := rec.done + l.prop + imp.cfg.ReorderDelay
+		// reordered packets that stay in the network, keeping the
+		// unimpaired hot path alloc-free.
+		at := rec.done + l.prop + l.impair.cfg.ReorderDelay
 		l.sim.Schedule(at, func() { pkt.forward(l.sim, at) })
-		return
-	}
-	if l.prop == 0 {
+	case l.prop == 0:
 		pkt.forward(l.sim, rec.done)
-	} else {
+	default:
 		l.propagating.push(propRec{pkt: pkt, at: rec.done + l.prop})
 		l.sim.Schedule(rec.done+l.prop, l.propFn)
 	}

@@ -129,20 +129,11 @@ func lockstepTranscript(shards, parallel int) uint64 {
 	for step := 0; step < 5; step++ {
 		ls.AdvanceFor(20 * Millisecond)
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := newFNV()
 	for _, tr := range transcripts {
-		for _, v := range tr {
-			for b := 0; b < 8; b++ {
-				h ^= (v >> (8 * b)) & 0xff
-				h *= prime64
-			}
-		}
+		h.add(tr...)
 	}
-	return h
+	return uint64(h)
 }
 
 // lockstep1kTranscriptHash pins the 1024-shard transcript. The sharded

@@ -72,6 +72,13 @@ func (s *Simulator) Inject(pkt *Packet, route []*Link, sink Sink) {
 	route[0].arrive(pkt, s.now)
 }
 
+// departing reports whether the packet leaves the network at its
+// current hop: it is on the last link of its route and nobody receives
+// it, so once transmitted it only returns to the freelist.
+func (pkt *Packet) departing() bool {
+	return pkt.sink == nil && pkt.hop == len(pkt.route)-1
+}
+
 // forward moves the packet to its next hop, or delivers it to the sink
 // when the route is exhausted.
 func (pkt *Packet) forward(sim *Simulator, at Time) {

@@ -16,6 +16,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/eventq"
 )
@@ -27,6 +28,12 @@ type Simulator struct {
 	q      eventq.Queue
 	now    Time
 	events uint64
+	// firedSeq is the sequence number of the last event fired at Now,
+	// or MaxUint64 once Run or RunUntil has passed Now as a deadline:
+	// every event keyed before (Now, firedSeq) has fired. Links settle
+	// their lazily completed departures against this key (see
+	// Link.settle).
+	firedSeq uint64
 	// pktFree recycles packets allocated by NewPacket whose ownership
 	// returned to the simulator (nil-sink delivery, drop); see FreePacket.
 	pktFree []*Packet
@@ -40,8 +47,11 @@ func NewSimulator() *Simulator {
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Events returns the total number of events executed so far, a useful
-// cost metric for benchmarks.
+// Events returns the total number of scheduled events executed so far,
+// a useful cost metric for benchmarks. A packet that leaves the network
+// at a hop is completed lazily there, without an event of its own (see
+// Link), so the count is the work the simulator did, not the number of
+// completions it modelled.
 func (s *Simulator) Events() uint64 { return s.events }
 
 // Schedule runs fn at the given absolute simulated time. Scheduling in
@@ -73,15 +83,35 @@ func (s *Simulator) Run(until Time) {
 		if !ok || Time(at) > until {
 			break
 		}
-		e := s.q.Pop()
-		s.now = Time(at)
-		s.events++
-		e.Fire()
-		s.q.Recycle(e)
+		s.fire(at)
 	}
-	if until > s.now {
-		s.now = until
+	s.pass(until)
+}
+
+// fire pops and runs the next event, which is due at at.
+func (s *Simulator) fire(at int64) {
+	e := s.q.Pop()
+	s.now = Time(at)
+	s.firedSeq = e.Seq()
+	s.events++
+	e.Fire()
+	s.q.Recycle(e)
+}
+
+// pass moves the clock to a deadline that every due event has fired
+// by. A deadline behind the clock leaves it, and the fired key, alone.
+func (s *Simulator) pass(deadline Time) {
+	if deadline >= s.now {
+		s.now = deadline
+		s.firedSeq = math.MaxUint64
 	}
+}
+
+// fired reports whether an event keyed (at, seq) would have fired by
+// now: it orders before the last event fired, or before the deadline
+// last passed.
+func (s *Simulator) fired(at Time, seq uint64) bool {
+	return at < s.now || at == s.now && seq < s.firedSeq
 }
 
 // RunFor executes events for duration d of simulated time.
@@ -93,16 +123,19 @@ func (s *Simulator) RunFor(d Time) { s.Run(s.now + d) }
 // limit) the clock is unchanged; use Run to pass idle time. External
 // drivers that must interleave other work between events — the
 // co-scheduling sequencer in internal/simprobe — are its callers.
+//
+// Step fires scheduled events only. A departing packet's completion is
+// never an event (see Link), so a false Step does not mean that
+// completions up to limit were stepped, and how many Steps reach a time
+// is not part of the contract: drivers advance by deadline, never by
+// event count. Whatever they read between Steps (Link.Counters,
+// QueuedBytes) is settled to exactly the events fired so far.
 func (s *Simulator) Step(limit Time) bool {
 	at, ok := s.q.PeekTime()
 	if !ok || Time(at) > limit {
 		return false
 	}
-	e := s.q.Pop()
-	s.now = Time(at)
-	s.events++
-	e.Fire()
-	s.q.Recycle(e)
+	s.fire(at)
 	return true
 }
 
@@ -118,20 +151,16 @@ func (s *Simulator) RunUntil(cond func() bool, deadline Time) bool {
 		if !ok || Time(at) > deadline {
 			break
 		}
-		e := s.q.Pop()
-		s.now = Time(at)
-		s.events++
-		e.Fire()
-		s.q.Recycle(e)
+		s.fire(at)
 		if cond() {
 			return true
 		}
 	}
-	if deadline > s.now {
-		s.now = deadline
-	}
+	s.pass(deadline)
 	return false
 }
 
-// Pending returns the number of queued events.
+// Pending returns the number of queued events. Like Events it counts
+// scheduled events only: departing packets still in service at a link
+// are not among them.
 func (s *Simulator) Pending() int { return s.q.Len() }
